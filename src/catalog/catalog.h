@@ -46,6 +46,10 @@ struct TableInfo {
   std::string name;
   Schema schema;
   PageId first_page = kInvalidPageId;
+  /// The heap's append hint (TableHeap), kept here so single-row INSERTs
+  /// resume at the chain's tail instead of re-walking it. In memory only,
+  /// never persisted: every open starts it at first_page.
+  mutable PageId append_hint = kInvalidPageId;
 };
 
 /// Catalog entry for one secondary index: a B+-tree over a single column.

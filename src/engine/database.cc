@@ -35,6 +35,71 @@ obs::Counter* DeadlineExceededQueries() {
       obs::MetricsRegistry::Global()->GetCounter("exec.deadline.exceeded");
   return counter;
 }
+
+/// The planner's index rule, shared by SELECT, UPDATE and DELETE: if some
+/// AND-chain conjunct of `*predicate` is `<indexed col> <cmp> <lit>`, pick
+/// that index and leave only the residual predicate (which may hold
+/// expensive UDF calls) in `*predicate`, to run on the survivors.
+std::optional<exec::IndexPick> PickIndex(const Catalog& catalog,
+                                         const TableInfo& table,
+                                         exec::BoundExprPtr* predicate) {
+  if (*predicate == nullptr) return std::nullopt;
+  std::vector<exec::IndexCandidate> candidates;
+  for (const IndexInfo* idx : catalog.IndexesForTable(table.name)) {
+    candidates.push_back({idx->column_index, idx->root, idx->name});
+  }
+  return exec::PickIndexScan(predicate, candidates, table.schema);
+}
+
+/// A row an UPDATE or DELETE acts on.
+struct MatchedRow {
+  RecordId rid;
+  Tuple tuple;
+};
+
+/// Every row of `table` that satisfies `predicate` (null = all rows). With
+/// an index pick only the rows the probe names are read, and only the
+/// residual is evaluated on them; otherwise the heap is scanned. All matches
+/// are collected before the caller writes anything, so a statement never
+/// revisits rows it has itself rewritten.
+Result<std::vector<MatchedRow>> MatchRows(StorageEngine* engine,
+                                          const Catalog& catalog,
+                                          const TableInfo& table,
+                                          exec::BoundExprPtr predicate,
+                                          UdfContext* ctx,
+                                          const QueryDeadline& deadline) {
+  std::optional<exec::IndexPick> pick = PickIndex(catalog, table, &predicate);
+  TableHeap heap(engine, table.first_page);
+  std::vector<MatchedRow> rows;
+  auto keep = [&](RecordId rid, Tuple t) -> Status {
+    if (predicate != nullptr) {
+      JAGUAR_ASSIGN_OR_RETURN(bool matches,
+                              exec::EvalPredicate(*predicate, t, ctx));
+      if (!matches) return Status::OK();
+    }
+    rows.push_back({rid, std::move(t)});
+    return Status::OK();
+  };
+  if (pick.has_value()) {
+    JAGUAR_ASSIGN_OR_RETURN(std::vector<RecordId> rids,
+                            exec::ProbeIndex(engine, *pick));
+    for (RecordId rid : rids) {
+      JAGUAR_RETURN_IF_ERROR(deadline.Check());
+      JAGUAR_ASSIGN_OR_RETURN(Tuple t, exec::FetchIndexedRow(&heap, rid));
+      JAGUAR_RETURN_IF_ERROR(keep(rid, std::move(t)));
+    }
+    return rows;
+  }
+  TableHeap::Iterator it = heap.Scan();
+  while (true) {
+    JAGUAR_RETURN_IF_ERROR(deadline.Check());
+    JAGUAR_ASSIGN_OR_RETURN(auto rec, it.Next());
+    if (!rec.has_value()) break;
+    JAGUAR_ASSIGN_OR_RETURN(Tuple t, Tuple::Deserialize(Slice(rec->second)));
+    JAGUAR_RETURN_IF_ERROR(keep(rec->first, std::move(t)));
+  }
+  return rows;
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -52,9 +117,9 @@ Status LobStore::Init() {
     JAGUAR_RETURN_IF_ERROR(catalog_->CreateTable(kLobTableName, schema));
     JAGUAR_ASSIGN_OR_RETURN(info, catalog_->GetTable(kLobTableName));
   }
-  heap_root_ = (*info)->first_page;
+  table_ = *info;
   // Build the handle index.
-  TableHeap heap(engine_, heap_root_);
+  TableHeap heap = Heap();
   TableHeap::Iterator it = heap.Scan();
   while (true) {
     JAGUAR_ASSIGN_OR_RETURN(auto rec, it.Next());
@@ -70,11 +135,14 @@ Status LobStore::Init() {
   return Status::OK();
 }
 
+TableHeap LobStore::Heap() const {
+  return TableHeap(engine_, table_->first_page, &table_->append_hint);
+}
+
 Result<int64_t> LobStore::Store(const std::vector<uint8_t>& data) {
   int64_t id = next_id_++;
   Tuple t({Value::Int(id), Value::Bytes(data)});
-  TableHeap heap(engine_, heap_root_);
-  JAGUAR_ASSIGN_OR_RETURN(RecordId rid, heap.Insert(Slice(t.Serialize())));
+  JAGUAR_ASSIGN_OR_RETURN(RecordId rid, Heap().Insert(Slice(t.Serialize())));
   index_[id] = rid;
   return id;
 }
@@ -86,8 +154,7 @@ Result<std::vector<uint8_t>> LobStore::Fetch(int64_t handle, uint64_t offset,
     return NotFound(StringPrintf("no LOB with handle %lld",
                                  static_cast<long long>(handle)));
   }
-  TableHeap heap(engine_, heap_root_);
-  JAGUAR_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, heap.Get(it->second));
+  JAGUAR_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, Heap().Get(it->second));
   JAGUAR_ASSIGN_OR_RETURN(Tuple t, Tuple::Deserialize(Slice(bytes)));
   const std::vector<uint8_t>& data = t.value(1).AsBytes();
   if (offset >= data.size()) return std::vector<uint8_t>();
@@ -101,8 +168,7 @@ Result<uint64_t> LobStore::Size(int64_t handle) {
     return NotFound(StringPrintf("no LOB with handle %lld",
                                  static_cast<long long>(handle)));
   }
-  TableHeap heap(engine_, heap_root_);
-  JAGUAR_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, heap.Get(it->second));
+  JAGUAR_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, Heap().Get(it->second));
   JAGUAR_ASSIGN_OR_RETURN(Tuple t, Tuple::Deserialize(Slice(bytes)));
   return t.value(1).AsBytes().size();
 }
@@ -387,23 +453,13 @@ Result<QueryResult> Database::ExecuteSelect(const sql::Statement& stmt,
                               sel.table_alias, udf_manager_.get()));
   }
 
-  // Planner rule: if some AND-chain conjunct is `<indexed col> <cmp> <lit>`,
-  // probe the B+-tree and evaluate only the residual predicate (which may
-  // hold expensive UDF calls) on the survivors.
-  std::optional<exec::IndexPick> pick;
-  if (predicate != nullptr) {
-    std::vector<exec::IndexCandidate> candidates;
-    for (const IndexInfo* idx : catalog_->IndexesForTable(sel.table)) {
-      candidates.push_back({idx->column_index, idx->root, idx->name});
-    }
-    pick = exec::PickIndexScan(&predicate, candidates, table->schema);
-  }
+  std::optional<exec::IndexPick> pick =
+      PickIndex(*catalog_, *table, &predicate);
 
   exec::OperatorPtr op;
   if (pick.has_value()) {
-    op = std::make_unique<exec::IndexScanOp>(
-        storage_.get(), pick->root, table->first_page, table->schema,
-        pick->lower, pick->upper, pick->equality);
+    op = std::make_unique<exec::IndexScanOp>(storage_.get(), *pick,
+                                             table->first_page, table->schema);
   } else {
     op = std::make_unique<exec::SeqScanOp>(storage_.get(), table->first_page,
                                            table->schema);
@@ -548,27 +604,16 @@ Result<QueryResult> Database::ExecuteDelete(const sql::Statement& stmt,
                               udf_manager_.get()));
   }
 
-  // Collect matching records first, then delete (no iterator invalidation).
   // The tuples ride along so index maintenance can re-derive the keys the
   // deleted rows contributed.
-  TableHeap heap(storage_.get(), table->first_page);
-  std::vector<std::pair<RecordId, Tuple>> victims;
-  TableHeap::Iterator it = heap.Scan();
-  while (true) {
-    JAGUAR_RETURN_IF_ERROR(deadline.Check());
-    JAGUAR_ASSIGN_OR_RETURN(auto rec, it.Next());
-    if (!rec.has_value()) break;
-    JAGUAR_ASSIGN_OR_RETURN(Tuple t, Tuple::Deserialize(Slice(rec->second)));
-    bool matches = true;
-    if (predicate != nullptr) {
-      JAGUAR_ASSIGN_OR_RETURN(matches, exec::EvalPredicate(*predicate, t,
-                                                           &ctx));
-    }
-    if (matches) victims.emplace_back(rec->first, std::move(t));
-  }
-  for (const auto& [rid, tuple] : victims) {
-    JAGUAR_RETURN_IF_ERROR(heap.Delete(rid));
-    JAGUAR_RETURN_IF_ERROR(DeleteIndexEntries(table, tuple, rid));
+  JAGUAR_ASSIGN_OR_RETURN(
+      std::vector<MatchedRow> victims,
+      MatchRows(storage_.get(), *catalog_, *table, std::move(predicate), &ctx,
+                deadline));
+  TableHeap heap(storage_.get(), table->first_page, &table->append_hint);
+  for (const MatchedRow& v : victims) {
+    JAGUAR_RETURN_IF_ERROR(heap.Delete(v.rid));
+    JAGUAR_RETURN_IF_ERROR(DeleteIndexEntries(table, v.tuple, v.rid));
   }
   QueryResult result;
   result.rows_affected = victims.size();
@@ -607,32 +652,22 @@ Result<QueryResult> Database::ExecuteUpdate(const sql::Statement& stmt,
     assignments.push_back(std::move(a));
   }
 
-  // Phase 1: materialize the replacement tuples (value expressions see the
-  // old row). Phase 2: delete + reinsert — updates may change record size,
-  // and a collect-then-apply plan cannot revisit its own insertions. The old
-  // tuple is retained so phase 2 can remove the index entries it contributed
-  // before inserting the new row's entries under its new record id.
-  struct PendingUpdate {
-    RecordId rid;
-    Tuple old_tuple;
-    Tuple new_tuple;
-  };
-  TableHeap heap(storage_.get(), table->first_page);
-  std::vector<PendingUpdate> updates;
-  TableHeap::Iterator it = heap.Scan();
-  while (true) {
+  // Phase 1: materialize and validate the replacement tuples (value
+  // expressions see the old row) before anything is written. Phase 2:
+  // rewrite each row — in its own slot when it still fits its page, else
+  // moved to a new record id — and move only the index entries whose key or
+  // record id changed.
+  JAGUAR_ASSIGN_OR_RETURN(
+      std::vector<MatchedRow> matches,
+      MatchRows(storage_.get(), *catalog_, *table, std::move(predicate), &ctx,
+                deadline));
+  std::vector<Tuple> replacements;
+  replacements.reserve(matches.size());
+  for (const MatchedRow& m : matches) {
     JAGUAR_RETURN_IF_ERROR(deadline.Check());
-    JAGUAR_ASSIGN_OR_RETURN(auto rec, it.Next());
-    if (!rec.has_value()) break;
-    JAGUAR_ASSIGN_OR_RETURN(Tuple t, Tuple::Deserialize(Slice(rec->second)));
-    if (predicate != nullptr) {
-      JAGUAR_ASSIGN_OR_RETURN(bool matches,
-                              exec::EvalPredicate(*predicate, t, &ctx));
-      if (!matches) continue;
-    }
-    std::vector<Value> values = t.values();
+    std::vector<Value> values = m.tuple.values();
     for (const Assignment& a : assignments) {
-      JAGUAR_ASSIGN_OR_RETURN(Value v, exec::Eval(*a.value, t, &ctx));
+      JAGUAR_ASSIGN_OR_RETURN(Value v, exec::Eval(*a.value, m.tuple, &ctx));
       if (table->schema.column(a.column).type == TypeId::kDouble &&
           v.type() == TypeId::kInt) {
         v = Value::Double(static_cast<double>(v.AsInt()));
@@ -642,18 +677,20 @@ Result<QueryResult> Database::ExecuteUpdate(const sql::Statement& stmt,
     Tuple updated(std::move(values));
     JAGUAR_RETURN_IF_ERROR(updated.CheckSchema(table->schema));
     JAGUAR_RETURN_IF_ERROR(ValidateIndexKeys(table, updated));
-    updates.push_back({rec->first, std::move(t), std::move(updated)});
+    replacements.push_back(std::move(updated));
   }
-  for (auto& u : updates) {
-    JAGUAR_RETURN_IF_ERROR(heap.Delete(u.rid));
-    JAGUAR_RETURN_IF_ERROR(DeleteIndexEntries(table, u.old_tuple, u.rid));
-    JAGUAR_ASSIGN_OR_RETURN(RecordId new_rid,
-                            heap.Insert(Slice(u.new_tuple.Serialize())));
-    JAGUAR_RETURN_IF_ERROR(InsertIndexEntries(table, u.new_tuple, new_rid));
+  TableHeap heap(storage_.get(), table->first_page, &table->append_hint);
+  for (size_t i = 0; i < matches.size(); ++i) {
+    const MatchedRow& m = matches[i];
+    JAGUAR_ASSIGN_OR_RETURN(
+        RecordId new_rid,
+        heap.Update(m.rid, Slice(replacements[i].Serialize())));
+    JAGUAR_RETURN_IF_ERROR(
+        UpdateIndexEntries(table, m.tuple, m.rid, replacements[i], new_rid));
   }
   QueryResult result;
-  result.rows_affected = updates.size();
-  result.message = StringPrintf("%zu row(s) updated", updates.size());
+  result.rows_affected = matches.size();
+  result.message = StringPrintf("%zu row(s) updated", matches.size());
   return result;
 }
 
@@ -666,7 +703,7 @@ Result<QueryResult> Database::ExecuteInsert(const sql::Statement& stmt,
   ctx.set_deadline(&deadline);
   const Schema empty_schema;
   const Tuple empty_tuple;
-  TableHeap heap(storage_.get(), table->first_page);
+  TableHeap heap(storage_.get(), table->first_page, &table->append_hint);
   uint64_t inserted = 0;
   for (const std::vector<sql::ExprPtr>& row : ins.rows) {
     JAGUAR_RETURN_IF_ERROR(deadline.Check());
@@ -781,6 +818,25 @@ Status Database::DeleteIndexEntries(const TableInfo* table, const Tuple& t,
     if (key.is_null()) continue;
     BTree tree(storage_.get(), idx->root);
     JAGUAR_RETURN_IF_ERROR(tree.Delete(key, rid));
+  }
+  return Status::OK();
+}
+
+Status Database::UpdateIndexEntries(const TableInfo* table,
+                                    const Tuple& old_row, RecordId old_rid,
+                                    const Tuple& new_row, RecordId new_rid) {
+  const bool moved = !(old_rid == new_rid);
+  for (const IndexInfo* idx : catalog_->IndexesForTable(table->name)) {
+    const Value& old_key = old_row.value(idx->column_index);
+    const Value& new_key = new_row.value(idx->column_index);
+    if (!moved && old_key.Equals(new_key)) continue;
+    BTree tree(storage_.get(), idx->root);
+    if (!old_key.is_null()) {
+      JAGUAR_RETURN_IF_ERROR(tree.Delete(old_key, old_rid));
+    }
+    if (!new_key.is_null()) {
+      JAGUAR_RETURN_IF_ERROR(tree.Insert(new_key, new_rid));
+    }
   }
   return Status::OK();
 }

@@ -133,9 +133,12 @@ class LobStore {
   Result<uint64_t> Size(int64_t handle);
 
  private:
+  /// The `__lobs` heap, appending through the table's persistent hint.
+  TableHeap Heap() const;
+
   StorageEngine* engine_;
   Catalog* catalog_;
-  PageId heap_root_ = kInvalidPageId;
+  const TableInfo* table_ = nullptr;  ///< `__lobs`; owned by the catalog
   std::unordered_map<int64_t, RecordId> index_;
   int64_t next_id_ = 1;
 };
@@ -215,6 +218,11 @@ class Database : public UdfCallbackHandler {
                             RecordId rid);
   Status DeleteIndexEntries(const TableInfo* table, const Tuple& t,
                             RecordId rid);
+  /// UPDATE's maintenance: moves each index's entry from (old key, old rid)
+  /// to (new key, new rid), skipping indexes where neither changed.
+  Status UpdateIndexEntries(const TableInfo* table, const Tuple& old_row,
+                            RecordId old_rid, const Tuple& new_row,
+                            RecordId new_rid);
   /// Rebuilds every secondary index from its table heap. Run after crash
   /// recovery: the redo-only WAL replays complete *records*, but a crash
   /// mid-statement can leave an index reflecting only part of a structure

@@ -186,41 +186,42 @@ std::optional<IndexPick> PickIndexScan(
   return pick;
 }
 
-IndexScanOp::IndexScanOp(StorageEngine* engine, PageId index_root,
-                         PageId heap_first, Schema schema,
-                         std::optional<BTree::Bound> lower,
-                         std::optional<BTree::Bound> upper, bool equality)
-    : tree_(engine, index_root),
-      heap_(engine, heap_first),
-      schema_(std::move(schema)),
-      lower_(std::move(lower)),
-      upper_(std::move(upper)),
-      equality_(equality) {}
-
-Status IndexScanOp::EnsureProbed() {
-  if (probed_) return Status::OK();
-  probed_ = true;
-  JAGUAR_ASSIGN_OR_RETURN(rids_, tree_.Scan(lower_, upper_));
+Result<std::vector<RecordId>> ProbeIndex(StorageEngine* engine,
+                                         const IndexPick& pick) {
+  BTree tree(engine, pick.root);
+  JAGUAR_ASSIGN_OR_RETURN(std::vector<RecordId> rids,
+                          tree.Scan(pick.lower, pick.upper));
   ScansCounter()->Add();
-  if (!equality_) RangeScansCounter()->Add();
-  LookupsCounter()->Add(rids_.size());
-  return Status::OK();
+  if (!pick.equality) RangeScansCounter()->Add();
+  LookupsCounter()->Add(rids.size());
+  return rids;
 }
 
-Result<std::optional<Tuple>> IndexScanOp::Next() {
-  JAGUAR_RETURN_IF_ERROR(EnsureProbed());
-  if (pos_ >= rids_.size()) return std::optional<Tuple>();
-  const RecordId rid = rids_[pos_++];
-  Result<std::vector<uint8_t>> bytes = heap_.Get(rid);
+Result<Tuple> FetchIndexedRow(TableHeap* heap, RecordId rid) {
+  Result<std::vector<uint8_t>> bytes = heap->Get(rid);
   if (!bytes.ok()) {
-    // A dangling entry means maintenance and the heap disagree — surface it
-    // as corruption rather than a silent missing row.
     if (bytes.status().IsNotFound()) {
       return Corruption("index entry points at a missing heap record");
     }
     return bytes.status();
   }
-  JAGUAR_ASSIGN_OR_RETURN(Tuple t, Tuple::Deserialize(Slice(*bytes)));
+  return Tuple::Deserialize(Slice(*bytes));
+}
+
+IndexScanOp::IndexScanOp(StorageEngine* engine, IndexPick pick,
+                         PageId heap_first, Schema schema)
+    : engine_(engine),
+      pick_(std::move(pick)),
+      heap_(engine, heap_first),
+      schema_(std::move(schema)) {}
+
+Result<std::optional<Tuple>> IndexScanOp::Next() {
+  if (!probed_) {
+    probed_ = true;
+    JAGUAR_ASSIGN_OR_RETURN(rids_, ProbeIndex(engine_, pick_));
+  }
+  if (pos_ >= rids_.size()) return std::optional<Tuple>();
+  JAGUAR_ASSIGN_OR_RETURN(Tuple t, FetchIndexedRow(&heap_, rids_[pos_++]));
   return std::optional<Tuple>(std::move(t));
 }
 

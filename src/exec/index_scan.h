@@ -20,7 +20,7 @@
 /// with `Value::Compare` exactly like the evaluator.
 ///
 /// Metrics:
-///   exec.index.scans        index-scan operators executed
+///   exec.index.scans        index probes run (SELECT, UPDATE, DELETE)
 ///   exec.index.range_scans  the subset driven by a range (non-equality)
 ///   exec.index.lookups      record ids produced by index probes
 ///   exec.index.inserts      entries inserted (maintenance + backfill)
@@ -63,13 +63,22 @@ std::optional<IndexPick> PickIndexScan(
     BoundExprPtr* where, const std::vector<IndexCandidate>& candidates,
     const Schema& schema);
 
+/// Probes `pick`'s B+-tree and returns the matching record ids in
+/// (key, rid) order, counting the probe in exec.index.*.
+Result<std::vector<RecordId>> ProbeIndex(StorageEngine* engine,
+                                         const IndexPick& pick);
+
+/// Reads the heap record an index entry points at. A missing record means
+/// maintenance and the heap disagree, which surfaces as Corruption rather
+/// than a silently missing row.
+Result<Tuple> FetchIndexedRow(TableHeap* heap, RecordId rid);
+
 /// Probes the B+-tree once on first pull, then streams the matching heap
 /// records in (key, rid) order.
 class IndexScanOp : public Operator {
  public:
-  IndexScanOp(StorageEngine* engine, PageId index_root, PageId heap_first,
-              Schema schema, std::optional<BTree::Bound> lower,
-              std::optional<BTree::Bound> upper, bool equality);
+  IndexScanOp(StorageEngine* engine, IndexPick pick, PageId heap_first,
+              Schema schema);
 
   /// The base-class NextBatch (a Next() loop) provides the batch protocol;
   /// there are no per-tuple expressions here to vectorize.
@@ -77,14 +86,10 @@ class IndexScanOp : public Operator {
   const Schema& schema() const override { return schema_; }
 
  private:
-  Status EnsureProbed();
-
-  BTree tree_;
+  StorageEngine* engine_;
+  IndexPick pick_;
   TableHeap heap_;
   Schema schema_;
-  std::optional<BTree::Bound> lower_;
-  std::optional<BTree::Bound> upper_;
-  bool equality_;
   bool probed_ = false;
   std::vector<RecordId> rids_;
   size_t pos_ = 0;

@@ -97,6 +97,46 @@ Result<Slice> SlottedPage::Get(uint16_t slot) const {
   return Slice(data_ + off, size);
 }
 
+Status SlottedPage::Update(uint16_t slot, Slice record) {
+  if (slot >= num_slots()) return NotFound("slot out of range");
+  const uint32_t pos = SlotOffsetPos(slot);
+  const uint16_t off = GetU16(pos);
+  if (off == 0) return NotFound("slot deleted");
+  const uint16_t old_size = GetU16(pos + 2);
+  const uint32_t size = static_cast<uint32_t>(record.size());
+
+  if (size <= old_size) {
+    // Shrink or same size: overwrite the cell's prefix; the tail becomes a
+    // hole that Compact() reclaims.
+    if (size > 0) std::memcpy(data_ + off, record.data(), size);
+    PutU16(pos + 2, static_cast<uint16_t>(size));
+    return Status::OK();
+  }
+
+  if (FreeSpace() < size) {
+    // Room after compaction = everything but the slot array and the other
+    // live cells (this slot's old cell is about to be dropped).
+    uint32_t live = 0;
+    for (uint16_t i = 0; i < num_slots(); ++i) {
+      if (i != slot && GetU16(SlotOffsetPos(i)) != 0) {
+        live += GetU16(SlotOffsetPos(i) + 2);
+      }
+    }
+    const uint32_t slot_end = kHeaderSize + num_slots() * kSlotSize;
+    if (kPageLsnOffset - slot_end - live < size) {
+      return ResourceExhausted("updated record does not fit the page");
+    }
+    PutU16(pos, 0);  // drop the old cell so compaction reclaims it
+    Compact();
+  }
+  const uint16_t new_start = static_cast<uint16_t>(cell_start() - size);
+  std::memcpy(data_ + new_start, record.data(), size);
+  set_cell_start(new_start);
+  PutU16(pos, new_start);
+  PutU16(pos + 2, static_cast<uint16_t>(size));
+  return Status::OK();
+}
+
 Status SlottedPage::Delete(uint16_t slot) {
   if (slot >= num_slots()) return NotFound("slot out of range");
   if (GetU16(SlotOffsetPos(slot)) == 0) return NotFound("slot already deleted");

@@ -56,6 +56,13 @@ class SlottedPage {
   /// out-of-range slots.
   Result<Slice> Get(uint16_t slot) const;
 
+  /// Replaces the record in live `slot` with `record`, keeping the slot
+  /// index. A record no larger than the old cell is rewritten in place;
+  /// a larger one moves to fresh cell space, compacting the page if that
+  /// makes room. ResourceExhausted (page untouched) when it cannot fit;
+  /// NotFound for tombstones / out-of-range slots.
+  Status Update(uint16_t slot, Slice record);
+
   /// Tombstones `slot`. Space is reclaimed lazily by Compact().
   Status Delete(uint16_t slot);
 

@@ -31,8 +31,14 @@ uint64_t LoadU64(const uint8_t* p) {
 }
 }  // namespace
 
-TableHeap::TableHeap(StorageEngine* engine, PageId first_page)
-    : engine_(engine), first_page_(first_page), last_page_hint_(first_page) {}
+TableHeap::TableHeap(StorageEngine* engine, PageId first_page,
+                     PageId* append_hint)
+    : engine_(engine),
+      first_page_(first_page),
+      append_hint_(append_hint),
+      cursor_(append_hint != nullptr && *append_hint != kInvalidPageId
+                  ? *append_hint
+                  : first_page) {}
 
 Result<PageId> TableHeap::Create(StorageEngine* engine) {
   JAGUAR_ASSIGN_OR_RETURN(PageId id, engine->AllocatePage());
@@ -64,7 +70,7 @@ Result<RecordId> TableHeap::Insert(Slice record) {
   // The record carrying the new tuple is the *last* one the statement logs
   // (chain links and page formats precede it), so a replay that stops early
   // yields a well-formed heap without the tuple — never a torn tuple.
-  PageId pid = last_page_hint_;
+  PageId pid = cursor_;
   while (true) {
     JAGUAR_ASSIGN_OR_RETURN(PageGuard page,
                             engine_->buffer_pool()->FetchPage(pid));
@@ -73,7 +79,8 @@ Result<RecordId> TableHeap::Insert(Slice record) {
     Result<uint16_t> slot = sp.Insert(payload);
     if (slot.ok()) {
       JAGUAR_RETURN_IF_ERROR(edit.Commit());
-      last_page_hint_ = pid;
+      cursor_ = pid;
+      if (append_hint_ != nullptr && !freed_) *append_hint_ = pid;
       return RecordId{pid, slot.value()};
     }
     if (slot.status().code() != StatusCode::kResourceExhausted) {
@@ -213,7 +220,37 @@ Status TableHeap::Delete(RecordId rid) {
   if (overflow_first != kInvalidPageId) {
     JAGUAR_RETURN_IF_ERROR(FreeOverflow(overflow_first));
   }
+  // Reuse the freed space: this object's next append walks from the start
+  // once, and the shared hint stays cleared so the next statement does too.
+  if (!freed_) {
+    freed_ = true;
+    cursor_ = first_page_;
+  }
+  if (append_hint_ != nullptr) *append_hint_ = kInvalidPageId;
   return Status::OK();
+}
+
+Result<RecordId> TableHeap::Update(RecordId rid, Slice record) {
+  if (record.size() + 1 <= SlottedPage::MaxRecordSize()) {
+    JAGUAR_ASSIGN_OR_RETURN(PageGuard page,
+                            engine_->buffer_pool()->FetchPage(rid.page_id));
+    SlottedPage sp(page.data());
+    JAGUAR_ASSIGN_OR_RETURN(Slice old, sp.Get(rid.slot));
+    if (!old.empty() && old[0] == kInlineTag) {
+      BufferWriter cell;
+      cell.PutU8(kInlineTag);
+      cell.PutBytes(record);
+      WalPageEdit edit(engine_->wal(), &page);
+      Status st = sp.Update(rid.slot, cell.AsSlice());
+      // A rejected update leaves the page untouched, so this logs nothing.
+      JAGUAR_RETURN_IF_ERROR(edit.Commit());
+      if (st.ok()) return rid;
+      if (st.code() != StatusCode::kResourceExhausted) return st;
+    }
+  }
+  // Overflow records (old or new) and records that outgrew their page move.
+  JAGUAR_RETURN_IF_ERROR(Delete(rid));
+  return Insert(record);
 }
 
 Status TableHeap::DropAll() {

@@ -26,7 +26,15 @@ namespace jaguar {
 class TableHeap {
  public:
   /// Attaches to an existing heap whose first page is `first_page`.
-  TableHeap(StorageEngine* engine, PageId first_page);
+  ///
+  /// `append_hint`, when given, is caller-owned storage for the chain page
+  /// an append tries first. It outlives this object, so the next
+  /// statement's heap resumes at the tail instead of re-walking the chain
+  /// from `first_page`. It lives in memory only: kInvalidPageId means "start
+  /// at first_page", and the append walk follows next-page links from
+  /// wherever it points, so any page of this heap's chain is a valid value.
+  TableHeap(StorageEngine* engine, PageId first_page,
+            PageId* append_hint = nullptr);
 
   /// Allocates and formats a new, empty heap; returns its first page id.
   static Result<PageId> Create(StorageEngine* engine);
@@ -40,7 +48,17 @@ class TableHeap {
   /// Reads the full record bytes (reassembling overflow chains).
   Result<std::vector<uint8_t>> Get(RecordId rid);
 
-  /// Deletes a record, freeing any overflow pages.
+  /// Replaces the record at `rid`. An inline record that still fits its
+  /// page (after compaction if need be) is rewritten in its own slot and
+  /// keeps `rid`. Otherwise — including any record that is or becomes an
+  /// overflow record — it is deleted and re-inserted, and the new id is
+  /// returned.
+  Result<RecordId> Update(RecordId rid, Slice record);
+
+  /// Deletes a record, freeing any overflow pages. So that the freed space
+  /// is reused, the first delete through this object sends its next append
+  /// back to the first page, and the caller's append hint is cleared, so
+  /// the next statement's first append walks the chain from the start too.
   Status Delete(RecordId rid);
 
   /// Frees every page belonging to this heap (data, chain and overflow).
@@ -85,7 +103,9 @@ class TableHeap {
 
   StorageEngine* engine_;
   PageId first_page_;
-  PageId last_page_hint_;  // cached append target; validated on use
+  PageId* append_hint_;     // caller-owned, outlives this object; may be null
+  PageId cursor_;           // page the next append tries first
+  bool freed_ = false;      // a Delete ran: stop publishing to append_hint_
 };
 
 }  // namespace jaguar

@@ -22,9 +22,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -447,6 +450,240 @@ INSTANTIATE_TEST_SUITE_P(
       std::replace(name.begin(), name.end(), '.', '_');
       return name;
     });
+
+// ---------------------------------------------------------------------------
+// The write-path crash matrix: key-addressed UPDATE and DELETE.
+//
+// Each case arms one crash point right before a single write statement — an
+// in-place UPDATE (same record id, the indexed key moves), a relocating
+// UPDATE (the row outgrows its full page and gets a new record id) or an
+// index-driven DELETE. A multi-row INSERT that splits an index leaf, a
+// scratch-table create/drop (FreePage) and a checkpoint follow, so every
+// WAL, storage and index point fires at the latest there. Recovery must
+// yield the heap of a committed prefix of [statement, INSERT], and the
+// rebuilt indexes must answer like a full-scan recheck.
+// ---------------------------------------------------------------------------
+
+constexpr int kWpRows = 45;      // ~15 rows per heap page; splits idx_v's root
+constexpr int kWpTailRows = 40;  // sequential wide keys split a leaf again
+
+std::string PadVal(int k) {
+  return std::string(300, static_cast<char>('a' + k % 26));
+}
+
+struct WpRow {
+  std::string v;
+  std::string pad;
+  bool operator==(const WpRow& o) const { return v == o.v && pad == o.pad; }
+};
+using WpModel = std::map<int64_t, WpRow>;
+
+/// One write statement under test and its effect on the model.
+struct WriteCase {
+  std::string name;
+  std::string sql;
+  void (*apply)(WpModel*);
+};
+
+const std::vector<WriteCase>& WriteCases() {
+  static const std::vector<WriteCase> cases = {
+      {"inplace_update",
+       "UPDATE w SET v = '" + WideVal(2000) + "' WHERE k = 3",
+       [](WpModel* m) { (*m)[3].v = WideVal(2000); }},
+      {"relocating_update",
+       "UPDATE w SET pad = '" + std::string(3000, 'R') + "' WHERE k = 5",
+       [](WpModel* m) { (*m)[5].pad = std::string(3000, 'R'); }},
+      {"index_delete", "DELETE FROM w WHERE k = 7",
+       [](WpModel* m) { m->erase(7); }},
+  };
+  return cases;
+}
+
+const WriteCase& FindWriteCase(const std::string& name) {
+  for (const WriteCase& c : WriteCases()) {
+    if (c.name == name) return c;
+  }
+  std::abort();
+}
+
+std::string WpInsert(int from, int to) {
+  std::string sql = "INSERT INTO w VALUES ";
+  for (int k = from; k < to; ++k) {
+    sql += (k == from ? "(" : ", (") + std::to_string(k) + ", '" + WideVal(k) +
+           "', '" + PadVal(k) + "')";
+  }
+  return sql;
+}
+
+/// The committed states a crash may recover to: before the statement, after
+/// it, and after the INSERT that follows it.
+std::vector<WpModel> WpPrefixStates(const WriteCase& c) {
+  WpModel m;
+  for (int k = 0; k < kWpRows; ++k) m[k] = {WideVal(k), PadVal(k)};
+  std::vector<WpModel> states = {m};
+  c.apply(&m);
+  states.push_back(m);
+  for (int k = kWpRows; k < kWpRows + kWpTailRows; ++k) {
+    m[k] = {WideVal(k), PadVal(k)};
+  }
+  states.push_back(m);
+  return states;
+}
+
+Status WpSetUp(Database* db) {
+  JAGUAR_RETURN_IF_ERROR(
+      db->Execute("CREATE TABLE w (k INT, v STRING, pad STRING)").status());
+  JAGUAR_RETURN_IF_ERROR(db->Execute("CREATE INDEX idx_k ON w (k)").status());
+  JAGUAR_RETURN_IF_ERROR(db->Execute("CREATE INDEX idx_v ON w (v)").status());
+  JAGUAR_RETURN_IF_ERROR(db->Execute(WpInsert(0, kWpRows)).status());
+  return db->Flush();
+}
+
+[[noreturn]] void RunWritePathCrashWorkload(const std::string& path,
+                                            const WriteCase& c,
+                                            const std::string& point) {
+  auto opened = Database::Open(path);
+  if (!opened.ok()) ::_exit(3);
+  std::unique_ptr<Database> db = std::move(opened).value();
+  if (!WpSetUp(db.get()).ok()) ::_exit(4);
+
+  wal::CrashPoints::Arm(point);
+  if (!db->Execute(c.sql).ok()) ::_exit(5);
+  if (!db->Execute(WpInsert(kWpRows, kWpRows + kWpTailRows)).ok()) ::_exit(6);
+  if (!db->Execute("CREATE TABLE tmp (x INT)").ok()) ::_exit(7);
+  if (!db->Execute("DROP TABLE tmp").ok()) ::_exit(8);
+  if (!db->Flush().ok()) ::_exit(9);
+  ::_exit(1);  // the armed point never fired
+}
+
+std::vector<std::string> AllWritePathPoints() {
+  std::vector<std::string> points = wal::CrashPoints::AllNames();
+  for (const std::string& p : BTree::CrashPointNames()) points.push_back(p);
+  return points;
+}
+
+/// Which committed prefix each point leaves behind. Points inside the
+/// statement lose it; the split points fire in the INSERT; storage and
+/// checkpoint points fire after everything committed.
+int ExpectedWpPrefix(const std::string& case_name, const std::string& point) {
+  if (point == "wal.after_log_append" ||
+      point == "index.before_delete_write") {
+    return 0;
+  }
+  if (point == "index.before_leaf_write") {
+    return case_name == "index_delete" ? 1 : 0;  // a DELETE writes no leaf
+  }
+  if (point == "index.mid_split" || point == "index.after_split") return 1;
+  return 2;
+}
+
+class WritePathCrashMatrixTest
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
+
+TEST_P(WritePathCrashMatrixTest, RecoversACommittedPrefixWithSoundIndexes) {
+  JAGUAR_REQUIRE_FORK();
+  const auto& [case_name, point] = GetParam();
+  const WriteCase& c = FindWriteCase(case_name);
+  TempDb db("wpmatrix_" + case_name + "_" + point);
+
+  pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) RunWritePathCrashWorkload(db.path(), c, point);
+
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+  ASSERT_TRUE(WIFEXITED(wstatus))
+      << "child killed by signal " << WTERMSIG(wstatus);
+  ASSERT_EQ(WEXITSTATUS(wstatus), wal::CrashPoints::kExitCode)
+      << "crash point '" << point << "' did not fire (child exit "
+      << WEXITSTATUS(wstatus) << ")";
+
+  auto opened = Database::Open(db.path());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Database> recovered = std::move(opened).value();
+
+  // Oracle: the heap through a full scan (no WHERE, so no index involved).
+  auto all = recovered->Execute("SELECT k, v, pad FROM w");
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  WpModel heap;
+  for (const Tuple& t : all->rows) {
+    ASSERT_TRUE(heap.emplace(t.value(0).AsInt(),
+                             WpRow{t.value(1).AsString(), t.value(2).AsString()})
+                    .second)
+        << "duplicate row for k = " << t.value(0).AsInt();
+  }
+  const std::vector<WpModel> states = WpPrefixStates(c);
+  int prefix = -1;
+  for (size_t i = 0; i < states.size(); ++i) {
+    if (heap == states[i]) prefix = static_cast<int>(i);
+  }
+  ASSERT_NE(prefix, -1) << "recovered " << heap.size()
+                        << " rows that match no committed prefix";
+  EXPECT_EQ(prefix, ExpectedWpPrefix(case_name, point));
+
+  // Both rebuilt indexes answer every key like the scan, and nothing else.
+  for (const auto& [k, row] : heap) {
+    auto by_k = recovered->Execute("SELECT v FROM w WHERE k = " +
+                                   std::to_string(k));
+    ASSERT_TRUE(by_k.ok()) << by_k.status().ToString();
+    ASSERT_EQ(by_k->rows.size(), 1u) << "k = " << k;
+    EXPECT_EQ(by_k->rows[0].value(0).AsString(), row.v);
+    EXPECT_EQ(by_k->metrics_delta.count("exec.index.scans"), 1u);
+    auto by_v = recovered->Execute("SELECT k FROM w WHERE v = '" + row.v + "'");
+    ASSERT_TRUE(by_v.ok()) << by_v.status().ToString();
+    ASSERT_EQ(by_v->rows.size(), 1u) << "v of k = " << k;
+    EXPECT_EQ(by_v->rows[0].value(0).AsInt(), k);
+  }
+  for (const char* name : {"idx_k", "idx_v"}) {
+    auto idx = recovered->catalog()->GetIndex(name);
+    ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+    BTree tree(recovered->storage(), (*idx)->root);
+    ASSERT_TRUE(tree.CheckInvariants().ok()) << name;
+    EXPECT_EQ(tree.CountEntries().value(), heap.size()) << name;
+  }
+  EXPECT_TRUE(recovered->storage()->CountFreePages().ok());
+}
+
+std::vector<std::string> WriteCaseNames() {
+  std::vector<std::string> names;
+  for (const WriteCase& c : WriteCases()) names.push_back(c.name);
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWritePathCrashPoints, WritePathCrashMatrixTest,
+    ::testing::Combine(::testing::ValuesIn(WriteCaseNames()),
+                       ::testing::ValuesIn(AllWritePathPoints())),
+    [](const ::testing::TestParamInfo<std::tuple<std::string, std::string>>&
+           info) {
+      std::string name = std::get<0>(info.param) + "_" + std::get<1>(info.param);
+      std::replace(name.begin(), name.end(), '.', '_');
+      return name;
+    });
+
+// The cases do what their names say: the in-place UPDATE keeps the row's
+// record id, the relocating one moves it.
+TEST(WritePathCasesTest, InPlaceKeepsTheRecordIdAndRelocationMovesIt) {
+  TempDb db("wpcases");
+  std::unique_ptr<Database> d = Database::Open(db.path()).value();
+  ASSERT_TRUE(WpSetUp(d.get()).ok());
+  BTree by_k(d->storage(), d->catalog()->GetIndex("idx_k").value()->root);
+  auto rid_of = [&](int k) {
+    std::vector<RecordId> rids = by_k.SearchEqual(Value::Int(k)).value();
+    EXPECT_EQ(rids.size(), 1u);
+    return rids.empty() ? RecordId{} : rids[0];
+  };
+  const RecordId r3 = rid_of(3);
+  const RecordId r5 = rid_of(5);
+  ASSERT_TRUE(d->Execute(FindWriteCase("inplace_update").sql).ok());
+  EXPECT_EQ(rid_of(3), r3);
+  ASSERT_TRUE(d->Execute(FindWriteCase("relocating_update").sql).ok());
+  EXPECT_FALSE(rid_of(5) == r5);
+  auto r = d->Execute(FindWriteCase("index_delete").sql);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->rows_affected, 1u);
+  EXPECT_EQ(r->metrics_delta.count("exec.index.scans"), 1u);
+}
 
 // ---------------------------------------------------------------------------
 // Deterministic, non-fork recovery tests (crash image built by file copy).

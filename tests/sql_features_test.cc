@@ -590,6 +590,184 @@ TEST_F(SqlFeaturesTest, IndexScanSkipsUdfPredicateForNonSurvivors) {
   EXPECT_EQ(MetricDelta(indexed, "udf.cpp.invocations"), 4u);
 }
 
+// ---------------------------------------------------------------------------
+// Key-addressed writes: UPDATE and DELETE take the index pick too.
+// ---------------------------------------------------------------------------
+
+/// Applies each write to `ix` (indexed on k) and to `plain`, an unindexed
+/// copy, and asserts equal rows_affected and byte-identical contents.
+class IndexedWriteAbTest : public SqlFeaturesTest {
+ protected:
+  void CreateTables() {
+    for (const char* table : {"ix", "plain"}) {
+      MustExecute(StringPrintf("CREATE TABLE %s (id INT, k INT, pad STRING)",
+                               table));
+      // Duplicate keys (k = id % 8), some NULL keys, ~38 rows per page.
+      for (int i = 0; i < 120; ++i) {
+        MustExecute(StringPrintf(
+            "INSERT INTO %s VALUES (%d, %s, '%s')", table, i,
+            i % 13 == 0 ? "NULL" : StringPrintf("%d", i % 8).c_str(),
+            std::string(200, static_cast<char>('a' + i % 26)).c_str()));
+      }
+    }
+    MustExecute("CREATE INDEX idx_ix_k ON ix (k)");
+  }
+
+  /// `stmt` with every "{t}" replaced by `table`.
+  static std::string On(std::string stmt, const std::string& table) {
+    for (size_t pos; (pos = stmt.find("{t}")) != std::string::npos;) {
+      stmt.replace(pos, 3, table);
+    }
+    return stmt;
+  }
+
+  std::string Contents(const std::string& sql) {
+    QueryResult r = MustExecute(sql);
+    std::string out;
+    for (const Tuple& t : r.rows) {
+      std::vector<uint8_t> bytes = t.Serialize();
+      out.append(bytes.begin(), bytes.end());
+    }
+    return out;
+  }
+
+  void ExpectSameEffect(const std::string& stmt, bool want_index) {
+    QueryResult on_ix = MustExecute(On(stmt, "ix"));
+    QueryResult on_plain = MustExecute(On(stmt, "plain"));
+    EXPECT_EQ(MetricDelta(on_ix, "exec.index.scans"), want_index ? 1u : 0u)
+        << stmt;
+    EXPECT_EQ(MetricDelta(on_plain, "exec.index.scans"), 0u) << stmt;
+    EXPECT_EQ(on_ix.rows_affected, on_plain.rows_affected) << stmt;
+    EXPECT_EQ(Contents("SELECT * FROM ix ORDER BY id"),
+              Contents("SELECT * FROM plain ORDER BY id"))
+        << "contents diverged after: " << stmt;
+  }
+};
+
+TEST_F(IndexedWriteAbTest, IndexedWritesMatchAnUnindexedCopy) {
+  CreateTables();
+  const std::string big(3000, 'B');
+  const std::string mid(1500, 'M');
+
+  ExpectSameEffect("UPDATE {t} SET pad = 'short' WHERE k = 3", true);
+  // Moves keys up past the range it scans: collect-then-apply must not
+  // revisit (and re-increment) the rows it has just rewritten.
+  ExpectSameEffect("UPDATE {t} SET k = k + 10 WHERE k >= 5", true);
+  ExpectSameEffect("UPDATE {t} SET k = k + 1 WHERE k = 2", true);
+  ExpectSameEffect("UPDATE {t} SET k = NULL WHERE k = 1", true);
+  ExpectSameEffect("UPDATE {t} SET k = 4 WHERE k = NULL", false);
+  // Grown rows no longer fit their page and move to new record ids.
+  ExpectSameEffect("UPDATE {t} SET pad = '" + big + "' WHERE k = 4", true);
+  ExpectSameEffect("UPDATE {t} SET pad = '" + mid + "' WHERE k > 12", true);
+  ExpectSameEffect("UPDATE {t} SET k = 0 WHERE id < 3", false);
+  ExpectSameEffect("UPDATE {t} SET k = 7 WHERE k <= 15 AND id >= 100", true);
+  ExpectSameEffect("DELETE FROM {t} WHERE k = 0 AND id > 50", true);
+  ExpectSameEffect("DELETE FROM {t} WHERE k < 3", true);
+  ExpectSameEffect("DELETE FROM {t} WHERE k = 99", true);
+  ExpectSameEffect("DELETE FROM {t} WHERE id = 26", false);
+
+  // The maintained index answers every key like the unindexed copy.
+  for (int k = -1; k <= 20; ++k) {
+    const std::string q =
+        StringPrintf("SELECT * FROM {t} WHERE k = %d ORDER BY id", k);
+    EXPECT_EQ(Contents(On(q, "ix")), Contents(On(q, "plain"))) << q;
+  }
+  EXPECT_EQ(Contents("SELECT COUNT(*) FROM ix WHERE k >= 0"),
+            Contents("SELECT COUNT(*) FROM plain WHERE k >= 0"));
+}
+
+TEST_F(SqlFeaturesTest, IndexedWritesRunUdfConjunctOnlyOnSurvivors) {
+  UdfInfo g;
+  g.name = "g";
+  g.language = UdfLanguage::kNative;
+  g.return_type = TypeId::kInt;
+  g.arg_types = {TypeId::kBytes, TypeId::kInt, TypeId::kInt, TypeId::kInt};
+  g.impl_name = "generic_udf";
+  ASSERT_TRUE(db_->RegisterUdf(g).ok());
+
+  const int rows = 400;
+  MustExecute("CREATE TABLE rel (id INT, v INT, b BYTEARRAY)");
+  for (int i = 0; i < rows; ++i) {
+    MustExecute(StringPrintf("INSERT INTO rel VALUES (%d, 0, randbytes(16, %d))",
+                             i, i));
+  }
+  MustExecute("CREATE INDEX idx_id ON rel (id)");
+
+  // The UDF conjunct is written first; at 1% selectivity it runs only on
+  // the four rows the index probe returns.
+  QueryResult upd = MustExecute(
+      "UPDATE rel SET v = v + 1 WHERE g(b, 10, 1, 0) >= 0 AND id < 4");
+  EXPECT_EQ(upd.rows_affected, 4u);
+  EXPECT_EQ(MetricDelta(upd, "exec.index.scans"), 1u);
+  EXPECT_EQ(MetricDelta(upd, "udf.cpp.invocations"), 4u);
+
+  QueryResult del = MustExecute(
+      "DELETE FROM rel WHERE g(b, 10, 1, 0) >= 0 AND id >= 396");
+  EXPECT_EQ(del.rows_affected, 4u);
+  EXPECT_EQ(MetricDelta(del, "exec.index.scans"), 1u);
+  EXPECT_EQ(MetricDelta(del, "udf.cpp.invocations"), 4u);
+
+  QueryResult r = MustExecute("SELECT COUNT(*), SUM(v) FROM rel");
+  EXPECT_EQ(r.rows[0].value(0).AsInt(), rows - 4);
+  EXPECT_EQ(r.rows[0].value(1).AsInt(), 4);
+}
+
+TEST_F(SqlFeaturesTest, SingleRowWritesFetchAConstantNumberOfPages) {
+  MustExecute("CREATE TABLE acct (id INT, bal INT, pad STRING)");
+  const std::string pad(300, 'p');
+  for (int batch = 0; batch < 30; ++batch) {
+    std::string sql = "INSERT INTO acct VALUES ";
+    for (int i = 0; i < 100; ++i) {
+      sql += StringPrintf("%s(%d, 0, '%s')", i == 0 ? "" : ", ",
+                          batch * 100 + i, pad.c_str());
+    }
+    MustExecute(sql);
+  }
+  MustExecute("CREATE INDEX acct_id ON acct (id)");
+  auto fetches = [](const QueryResult& r) {
+    return MetricDelta(r, "storage.bufferpool.hits") +
+           MetricDelta(r, "storage.bufferpool.misses");
+  };
+
+  // ~120 heap pages; each write touches the index path and one heap page.
+  for (int i = 0; i < 5; ++i) {
+    QueryResult ins = MustExecute(StringPrintf(
+        "INSERT INTO acct VALUES (%d, 0, '%s')", 5000 + i, pad.c_str()));
+    EXPECT_LE(fetches(ins), 20u) << "insert " << i;
+    QueryResult upd = MustExecute(StringPrintf(
+        "UPDATE acct SET bal = bal + 1 WHERE id = %d", 1234 + i));
+    EXPECT_EQ(upd.rows_affected, 1u);
+    EXPECT_LE(fetches(upd), 20u) << "update " << i;
+  }
+  EXPECT_EQ(MustExecute("SELECT SUM(bal) FROM acct").rows[0].value(0).AsInt(),
+            5);
+
+  // The hint is never persisted: after a reopen the first append walks the
+  // chain again, lands correctly, and the next one is cheap once more.
+  db_.reset();
+  db_ = Database::Open(path_).value();
+  QueryResult first = MustExecute(StringPrintf(
+      "INSERT INTO acct VALUES (6000, 0, '%s')", pad.c_str()));
+  EXPECT_GT(fetches(first), 100u);
+  QueryResult second = MustExecute(StringPrintf(
+      "INSERT INTO acct VALUES (6001, 0, '%s')", pad.c_str()));
+  EXPECT_LE(fetches(second), 20u);
+
+  // A DELETE is key-addressed too, and the space it frees is reused: the
+  // next append walks from the start into the hole instead of growing the
+  // file.
+  QueryResult del = MustExecute("DELETE FROM acct WHERE id = 77");
+  EXPECT_EQ(del.rows_affected, 1u);
+  EXPECT_LE(fetches(del), 20u);
+  const uint32_t pages = db_->storage()->disk()->num_pages();
+  MustExecute(StringPrintf("INSERT INTO acct VALUES (6002, 0, '%s')",
+                           pad.c_str()));
+  EXPECT_EQ(db_->storage()->disk()->num_pages(), pages);
+  EXPECT_EQ(MustExecute("SELECT COUNT(*) FROM acct").rows[0].value(0).AsInt(),
+            3000 + 5 + 3 - 1);
+  EXPECT_EQ(MustExecute("SELECT id FROM acct WHERE id = 6002").rows.size(), 1u);
+}
+
 TEST_F(SqlFeaturesTest, OversizeIndexKeyRejectedBeforeHeapMutation) {
   MustExecute("CREATE TABLE wide (id INT, s STRING)");
   MustExecute("CREATE INDEX idx_s ON wide (s)");

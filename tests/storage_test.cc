@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <thread>
 
 #include "common/random.h"
@@ -165,8 +167,49 @@ TEST(SlottedPageTest, RejectsOversizeRecord) {
   EXPECT_TRUE(sp.Insert(Slice(huge)).status().IsInvalidArgument());
 }
 
-// Property sweep: random insert/delete sequences keep invariants and a shadow
-// map in sync.
+TEST(SlottedPageTest, UpdateKeepsSlotAndCompactsWhenGrowing) {
+  std::vector<uint8_t> buf(kPageSize);
+  SlottedPage sp(buf.data());
+  sp.Init();
+  std::vector<uint16_t> slots;
+  std::string rec(1000, 'a');
+  while (true) {
+    Result<uint16_t> s = sp.Insert(Slice(rec));
+    if (!s.ok()) break;
+    slots.push_back(*s);
+  }
+  ASSERT_GE(slots.size(), 6u);
+
+  // Shrink, then grow back within the old cell: rewritten in place.
+  ASSERT_TRUE(sp.Update(slots[1], Slice(std::string(10, 'b'))).ok());
+  EXPECT_EQ(sp.Get(slots[1]).value().ToString(), std::string(10, 'b'));
+  ASSERT_TRUE(sp.Update(slots[1], Slice(std::string(1000, 'c'))).ok());
+  EXPECT_TRUE(sp.CheckInvariants().ok());
+
+  // Growing past the free space needs the holes of deleted cells: the
+  // update compacts and keeps its slot.
+  ASSERT_TRUE(sp.Delete(slots[2]).ok());
+  ASSERT_TRUE(sp.Delete(slots[4]).ok());
+  std::string big(2500, 'd');
+  ASSERT_TRUE(sp.Update(slots[3], Slice(big)).ok());
+  EXPECT_EQ(sp.Get(slots[3]).value().ToString(), big);
+  EXPECT_EQ(sp.Get(slots[1]).value().ToString(), std::string(1000, 'c'));
+  EXPECT_EQ(sp.Get(slots[5]).value().ToString(), rec);
+  EXPECT_TRUE(sp.CheckInvariants().ok());
+
+  // A record that cannot fit even after compaction leaves the page as it
+  // was; tombstones and missing slots are NotFound.
+  std::vector<uint8_t> before = buf;
+  EXPECT_TRUE(sp.Update(slots[0], Slice(std::string(4000, 'e')))
+                  .IsResourceExhausted());
+  EXPECT_EQ(buf, before);
+  EXPECT_TRUE(sp.Update(slots[2], Slice("x")).IsNotFound());
+  EXPECT_TRUE(sp.Update(999, Slice("x")).IsNotFound());
+}
+
+// Property sweep: random insert/update/delete sequences keep invariants and
+// a shadow map in sync; an update keeps its slot, and a rejected one changes
+// nothing.
 class SlottedPageFuzzTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SlottedPageFuzzTest, MatchesShadowModel) {
@@ -183,6 +226,18 @@ TEST_P(SlottedPageFuzzTest, MatchesShadowModel) {
         shadow[*s] = rec;
       } else {
         ASSERT_TRUE(s.status().IsResourceExhausted());
+      }
+    } else if (rng.Bernoulli(0.5)) {
+      auto it = shadow.begin();
+      std::advance(it, rng.Uniform(shadow.size()));
+      std::string rec = rng.AlphaString(rng.Uniform(1200));
+      std::vector<uint8_t> before = buf;
+      Status st = sp.Update(it->first, Slice(rec));
+      if (st.ok()) {
+        it->second = rec;
+      } else {
+        ASSERT_TRUE(st.IsResourceExhausted());
+        ASSERT_EQ(buf, before);
       }
     } else {
       auto it = shadow.begin();
@@ -826,6 +881,154 @@ TEST(TableHeapTest, PersistsAcrossReopen) {
   auto rec = heap.Scan().Next().value();
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(Slice(rec->second).ToString(), "persistent");
+}
+
+TEST(TableHeapTest, UpdateKeepsRidWhenTheRecordFitsAndMovesItOtherwise) {
+  TempDb db("heap_update");
+  auto engine = StorageEngine::Open(db.path()).value();
+  PageId first = TableHeap::Create(engine.get()).value();
+  TableHeap heap(engine.get(), first);
+  std::vector<RecordId> rids;
+  for (int i = 0; i < 40; ++i) {
+    rids.push_back(heap.Insert(Slice(std::string(500, 'a' + i % 26))).value());
+  }
+  ASSERT_EQ(rids[0].page_id, rids[1].page_id);  // the first page is full
+
+  // Same size, smaller, and larger within the page's holes: same rid.
+  EXPECT_EQ(heap.Update(rids[0], Slice(std::string(500, 'X'))).value(),
+            rids[0]);
+  EXPECT_EQ(heap.Update(rids[1], Slice("short")).value(), rids[1]);
+  EXPECT_EQ(heap.Update(rids[2], Slice(std::string(900, 'Y'))).value(),
+            rids[2]);
+  EXPECT_EQ(Slice(heap.Get(rids[0]).value()).ToString(),
+            std::string(500, 'X'));
+  EXPECT_EQ(Slice(heap.Get(rids[1]).value()).ToString(), "short");
+  EXPECT_EQ(Slice(heap.Get(rids[2]).value()).ToString(),
+            std::string(900, 'Y'));
+
+  // Growing past what the full page can hold relocates the record.
+  std::string grown(4000, 'G');
+  RecordId moved = heap.Update(rids[3], Slice(grown)).value();
+  EXPECT_FALSE(moved == rids[3]);
+  EXPECT_TRUE(heap.Get(rids[3]).status().IsNotFound());
+  EXPECT_EQ(Slice(heap.Get(moved).value()).ToString(), grown);
+
+  // Overflow records always move: inline -> overflow -> overflow -> inline.
+  Random rng(11);
+  std::vector<uint8_t> huge = rng.Bytes(20000);
+  RecordId o1 = heap.Update(rids[4], Slice(huge)).value();
+  EXPECT_EQ(heap.Get(o1).value(), huge);
+  std::vector<uint8_t> huge2 = rng.Bytes(12000);
+  RecordId o2 = heap.Update(o1, Slice(huge2)).value();
+  EXPECT_EQ(heap.Get(o2).value(), huge2);
+  RecordId back = heap.Update(o2, Slice("inline again")).value();
+  EXPECT_EQ(Slice(heap.Get(back).value()).ToString(), "inline again");
+
+  EXPECT_EQ(heap.CountRecords().value(), 40u);
+  EXPECT_TRUE(heap.Update(rids[3], Slice("gone")).status().IsNotFound());
+  EXPECT_EQ(engine->buffer_pool()->pinned_frames(), 0u);
+}
+
+/// A heap of `pages` full chain pages of 1000-byte records.
+std::vector<RecordId> FillChain(TableHeap* heap, size_t pages) {
+  std::vector<RecordId> rids;
+  while (heap->ListPages().value().size() < pages) {
+    rids.push_back(heap->Insert(Slice(std::string(1000, 'f'))).value());
+  }
+  return rids;
+}
+
+uint64_t PoolFetches(StorageEngine* engine) {
+  return engine->buffer_pool()->hits() + engine->buffer_pool()->misses();
+}
+
+TEST(TableHeapTest, AppendThroughAKeptHintCostsConstantFetches) {
+  TempDb db("heap_hint");
+  auto engine = StorageEngine::Open(db.path()).value();
+  PageId first = TableHeap::Create(engine.get()).value();
+  PageId hint = kInvalidPageId;
+  {
+    TableHeap heap(engine.get(), first, &hint);
+    FillChain(&heap, 200);
+  }
+  const size_t pages = TableHeap(engine.get(), first).ListPages().value().size();
+
+  // Each statement builds a fresh heap; with the kept hint an append costs
+  // at most four fetches however long the chain is: the tail page, and when
+  // it is full the header (allocation), the fresh page's format and the
+  // fresh page again as the walk's next stop.
+  for (int i = 0; i < 20; ++i) {
+    TableHeap heap(engine.get(), first, &hint);
+    const uint64_t before = PoolFetches(engine.get());
+    ASSERT_TRUE(heap.Insert(Slice(std::string(1000, 'n'))).ok());
+    EXPECT_LE(PoolFetches(engine.get()) - before, 4u) << "append " << i;
+  }
+  // Without one, the first append walks every chain page.
+  TableHeap cold(engine.get(), first);
+  const uint64_t before = PoolFetches(engine.get());
+  ASSERT_TRUE(cold.Insert(Slice(std::string(1000, 'c'))).ok());
+  EXPECT_GE(PoolFetches(engine.get()) - before, pages);
+}
+
+TEST(TableHeapTest, DeleteThenInsertReusesSpaceInsteadOfGrowingTheChain) {
+  TempDb db("heap_reuse");
+  auto engine = StorageEngine::Open(db.path()).value();
+  PageId first = TableHeap::Create(engine.get()).value();
+  PageId hint = kInvalidPageId;
+  std::vector<RecordId> rids;
+  {
+    TableHeap heap(engine.get(), first, &hint);
+    rids = FillChain(&heap, 20);
+  }
+  ASSERT_NE(hint, first);
+  const size_t pages = TableHeap(engine.get(), first).ListPages().value().size();
+
+  // Statement pairs: a DELETE of an early row, then an INSERT of the same
+  // size through a fresh heap. The delete clears the hint, so the insert
+  // walks from the start and lands in the hole.
+  for (size_t i = 0; i < 30; ++i) {
+    {
+      TableHeap heap(engine.get(), first, &hint);
+      ASSERT_TRUE(heap.Delete(rids[i]).ok());
+    }
+    EXPECT_EQ(hint, kInvalidPageId);
+    TableHeap heap(engine.get(), first, &hint);
+    RecordId rid = heap.Insert(Slice(std::string(1000, 'r'))).value();
+    EXPECT_EQ(rid.page_id, rids[i].page_id);
+  }
+  EXPECT_EQ(TableHeap(engine.get(), first).ListPages().value().size(), pages);
+}
+
+TEST(TableHeapTest, StaleHintStillAppendsCorrectlyAfterReopen) {
+  TempDb db("heap_stale");
+  PageId first;
+  PageId stale = kInvalidPageId;
+  {
+    auto engine = StorageEngine::Open(db.path()).value();
+    first = TableHeap::Create(engine.get()).value();
+    TableHeap heap(engine.get(), first, &stale);
+    FillChain(&heap, 5);
+    ASSERT_TRUE(engine->Close().ok());
+  }
+  auto engine = StorageEngine::Open(db.path()).value();
+  // A fresh hint starts at the first page and walks to the tail...
+  PageId fresh = kInvalidPageId;
+  {
+    TableHeap heap(engine.get(), first, &fresh);
+    FillChain(&heap, 10);
+  }
+  // ...and a hint kept from before the reopen, now mid-chain, follows the
+  // links to the real tail instead of forking the chain.
+  ASSERT_NE(stale, fresh);
+  const uint64_t before = TableHeap(engine.get(), first).CountRecords().value();
+  TableHeap heap(engine.get(), first, &stale);
+  RecordId rid = heap.Insert(Slice("after reopen")).value();
+  EXPECT_EQ(Slice(heap.Get(rid).value()).ToString(), "after reopen");
+  EXPECT_EQ(stale, rid.page_id);
+  EXPECT_EQ(heap.CountRecords().value(), before + 1);
+  std::vector<PageId> chain = heap.ListPages().value();
+  EXPECT_EQ(std::count(chain.begin(), chain.end(), rid.page_id), 1);
+  EXPECT_EQ(engine->buffer_pool()->pinned_frames(), 0u);
 }
 
 TEST(TableHeapTest, NoPinsLeakAfterOperations) {
